@@ -48,7 +48,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pb"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -546,7 +545,7 @@ func measureTrace(b bench.Name, configs int, budget int64) (benchfmt.TraceBaseli
 		return benchfmt.TraceBaseline{}, err
 	}
 
-	core.SetTraceStore(trace.New(budget))
+	core.SetTraceStore(core.NewTraceStore(budget))
 	onWall, _, err := sweep()
 	if err != nil {
 		return benchfmt.TraceBaseline{}, err

@@ -4,9 +4,10 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/ckpt"
 	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // The functional prefix of a technique run — fast-forwarding to the first
@@ -33,12 +34,21 @@ const minCkptPrefix = 1 << 12
 
 var (
 	ckptMu      sync.Mutex
-	sharedCkpts = ckpt.New(DefaultCheckpointBudget)
+	sharedCkpts = NewCheckpointStore(DefaultCheckpointBudget)
 )
+
+// NewCheckpointStore creates a checkpoint store bounded to maxBytes. A
+// checkpoint serves only its exact position; a missing prefix's producer
+// restores the nearest resident checkpoint below it and executes forward.
+func NewCheckpointStore(maxBytes int64) *store.Store[*cpu.Checkpoint] {
+	return store.New[*cpu.Checkpoint](maxBytes, store.Kind{
+		Metric: "ckpt", Hit: obs.EvCkptHit, Miss: obs.EvCkptMiss, Evict: obs.EvCkptEvict,
+	}, nil)
+}
 
 // CheckpointStore returns the shared functional-prefix checkpoint store
 // (nil when disabled via SetCheckpointStore(nil)).
-func CheckpointStore() *ckpt.Store {
+func CheckpointStore() *store.Store[*cpu.Checkpoint] {
 	ckptMu.Lock()
 	defer ckptMu.Unlock()
 	return sharedCkpts
@@ -47,7 +57,7 @@ func CheckpointStore() *ckpt.Store {
 // SetCheckpointStore replaces the shared store; nil disables checkpointing
 // entirely (every prefix is executed). Tests and ablations use this to
 // isolate or size the store.
-func SetCheckpointStore(s *ckpt.Store) {
+func SetCheckpointStore(s *store.Store[*cpu.Checkpoint]) {
 	ckptMu.Lock()
 	defer ckptMu.Unlock()
 	sharedCkpts = s
@@ -55,11 +65,11 @@ func SetCheckpointStore(s *ckpt.Store) {
 
 // CheckpointStats snapshots the shared store's accounting (zero when
 // disabled).
-func CheckpointStats() ckpt.Stats {
+func CheckpointStats() store.Stats {
 	if s := CheckpointStore(); s != nil {
 		return s.Stats()
 	}
-	return ckpt.Stats{}
+	return store.Stats{}
 }
 
 // CheckpointCounters returns the shared store's hit/miss counters (zero
@@ -67,9 +77,9 @@ func CheckpointStats() ckpt.Stats {
 // scheduler's per-cell cost bracketing rides this.
 func CheckpointCounters() (hits, misses int64) {
 	if s := CheckpointStore(); s != nil {
-		return s.Counters()
+		hits, misses, _ = s.Counters()
 	}
-	return 0, 0
+	return hits, misses
 }
 
 // ResetCheckpointCache drops all cached checkpoints and zeroes the store's
@@ -110,7 +120,7 @@ func checkpointedFF(ctx Context, r *sim.Runner, target uint64) (uint64, error) {
 		return got, r.Err()
 	}
 	var executed uint64
-	cp, owned, err := s.Prefix(ckptCtx(ctx), ckpt.IDOf(r.Prog), target,
+	cp, owned, err := s.Get(ckptCtx(ctx), store.IDOf(r.Prog), target, 0,
 		func(near *cpu.Checkpoint, nearPos uint64) (*cpu.Checkpoint, error) {
 			if near != nil && nearPos > r.Emu.Count {
 				sp := ctx.startSpan("ckpt-restore")
@@ -165,7 +175,7 @@ func emuSkipTo(ctx Context, e *cpu.Emu, target uint64) error {
 	if s == nil || target < minCkptPrefix {
 		return emuRun(ctx, e, target-e.Count, nil)
 	}
-	cp, owned, err := s.Prefix(ckptCtx(ctx), ckpt.IDOf(e.Prog), target,
+	cp, owned, err := s.Get(ckptCtx(ctx), store.IDOf(e.Prog), target, 0,
 		func(near *cpu.Checkpoint, nearPos uint64) (*cpu.Checkpoint, error) {
 			if near != nil && nearPos > e.Count {
 				_ = e.Restore(near) // failure: execute from the current position

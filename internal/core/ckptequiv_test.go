@@ -6,19 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/ckpt"
+	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/pb"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // withFreshStore installs a dedicated store for the test body and restores
 // the shared one afterwards, so these tests neither see nor leave warm
 // state.
-func withFreshStore(t *testing.T, f func(s *ckpt.Store)) {
+func withFreshStore(t *testing.T, f func(s *store.Store[*cpu.Checkpoint])) {
 	t.Helper()
 	prev := CheckpointStore()
-	s := ckpt.New(DefaultCheckpointBudget)
+	s := NewCheckpointStore(DefaultCheckpointBudget)
 	s.Obs = obs.NewRegistry()
 	SetCheckpointStore(s)
 	defer SetCheckpointStore(prev)
@@ -47,7 +48,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("store-off run: %v", err)
 			}
-			withFreshStore(t, func(s *ckpt.Store) {
+			withFreshStore(t, func(s *store.Store[*cpu.Checkpoint]) {
 				cold, err := tech.Run(ctx)
 				if err != nil {
 					t.Fatalf("cold-store run: %v", err)
@@ -101,7 +102,7 @@ func TestSweepExecutesPrefixOnce(t *testing.T) {
 		t.Fatalf("PB design has %d rows, need %d", d.Runs(), configs)
 	}
 	tech := FFRun{X: 1000, Z: 200}
-	withFreshStore(t, func(s *ckpt.Store) {
+	withFreshStore(t, func(s *store.Store[*cpu.Checkpoint]) {
 		var functional uint64
 		for i := 0; i < configs; i++ {
 			cfg, err := sim.PBConfig(d.Rows[i])

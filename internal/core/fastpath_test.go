@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/ckpt"
 	"repro/internal/cpu"
 	"repro/internal/mem"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -59,14 +59,14 @@ func TestMemFastPathEquivalence(t *testing.T) {
 			// same functional prefix themselves, so FunctionalInstr is
 			// comparable.
 			withMemFastPaths(t, false, func() {
-				SetCheckpointStore(ckpt.New(DefaultCheckpointBudget))
+				SetCheckpointStore(NewCheckpointStore(DefaultCheckpointBudget))
 				plain, err = tech.Run(ctx)
 			})
 			if err != nil {
 				t.Fatalf("fast-paths-off run: %v", err)
 			}
 			withMemFastPaths(t, true, func() {
-				SetCheckpointStore(ckpt.New(DefaultCheckpointBudget))
+				SetCheckpointStore(NewCheckpointStore(DefaultCheckpointBudget))
 				fast, err = tech.Run(ctx)
 			})
 			if err != nil {
@@ -97,7 +97,7 @@ func TestMemFastPathReplayEquivalence(t *testing.T) {
 	run := func(on bool) (warm Result) {
 		t.Helper()
 		withMemFastPaths(t, on, func() {
-			withFreshTraceStore(t, DefaultTraceBudget, func(s *trace.Store) {
+			withFreshTraceStore(t, DefaultTraceBudget, func(s *store.Store[*trace.Region]) {
 				if _, err := tech.Run(ctx); err != nil { // record
 					t.Fatalf("recording run (fast=%v): %v", on, err)
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cpu"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -170,7 +171,7 @@ func TestTimelineInvariantAcrossTraceReplay(t *testing.T) {
 	if len(off.Timeline) == 0 {
 		t.Fatal("no samples recorded")
 	}
-	withFreshTraceStore(t, DefaultTraceBudget, func(s *trace.Store) {
+	withFreshTraceStore(t, DefaultTraceBudget, func(s *store.Store[*trace.Region]) {
 		cold, err := tech.Run(ctx)
 		if err != nil {
 			t.Fatal(err)

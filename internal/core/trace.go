@@ -3,10 +3,11 @@ package core
 import (
 	"sync"
 
-	"repro/internal/sim"
-	"repro/internal/trace"
-
 	"repro/internal/cpu"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // The detailed spans of a technique run — the measured windows plus their
@@ -43,14 +44,23 @@ const traceOverfetch = 512
 
 var (
 	traceMu     sync.Mutex
-	sharedTrace *trace.Store // nil: record/replay disabled (the default)
+	sharedTrace *store.Store[*trace.Region] // nil: record/replay disabled (the default)
 )
+
+// NewTraceStore creates a trace store bounded to maxBytes. A region
+// serves any window it covers, so a longer recording at or before a
+// window's start replays it.
+func NewTraceStore(maxBytes int64) *store.Store[*trace.Region] {
+	return store.New(maxBytes, store.Kind{
+		Metric: "trace", Hit: obs.EvTraceHit, Miss: obs.EvTraceMiss, Evict: obs.EvTraceEvict,
+	}, (*trace.Region).Covers)
+}
 
 // TraceStore returns the shared trace store, or nil when record/replay is
 // disabled. Unlike the checkpoint store, the trace store is off by
 // default: direct Technique.Run calls pay full emulation unless the
 // experiments engine (or a test) installs a store.
-func TraceStore() *trace.Store {
+func TraceStore() *store.Store[*trace.Region] {
 	traceMu.Lock()
 	defer traceMu.Unlock()
 	return sharedTrace
@@ -58,7 +68,7 @@ func TraceStore() *trace.Store {
 
 // SetTraceStore replaces the shared trace store; nil disables record and
 // replay entirely.
-func SetTraceStore(s *trace.Store) {
+func SetTraceStore(s *store.Store[*trace.Region]) {
 	traceMu.Lock()
 	defer traceMu.Unlock()
 	sharedTrace = s
@@ -66,11 +76,11 @@ func SetTraceStore(s *trace.Store) {
 
 // TraceStats snapshots the shared store's accounting (zero when
 // disabled).
-func TraceStats() trace.Stats {
+func TraceStats() store.Stats {
 	if s := TraceStore(); s != nil {
 		return s.Stats()
 	}
-	return trace.Stats{}
+	return store.Stats{}
 }
 
 // TraceCounters returns the shared store's replay-hit/record-miss
@@ -145,8 +155,7 @@ func tracedSpan(ctx Context, r *sim.Runner, want uint64, share bool, body func()
 		return 0, body()
 	}
 	start := r.Position()
-	cost := int64(want+tracePad)*trace.RecBytes + 64
-	if !share || cost > s.MaxBytes() {
+	if !share || trace.RegionBytes(int(want+tracePad)) > s.MaxBytes() {
 		// Not shareable (or too large to ever cache): emulate plainly.
 		executed, err := materialize(ctx, r)
 		if err != nil {
@@ -157,8 +166,8 @@ func tracedSpan(ctx Context, r *sim.Runner, want uint64, share bool, body func()
 
 	var executed uint64
 	ranBody := false
-	reg, owned, err := s.Window(ckptCtx(ctx), trace.IDOf(r.Prog), start, want+traceOverfetch,
-		func() (*trace.Region, error) {
+	reg, owned, err := s.Get(ckptCtx(ctx), store.IDOf(r.Prog), start, want+traceOverfetch,
+		func(*trace.Region, uint64) (*trace.Region, error) {
 			n, merr := materialize(ctx, r)
 			executed += n
 			if merr != nil {
@@ -242,7 +251,7 @@ func (ps *profSource) window(start, n uint64, prof *cpu.Profile) error {
 		return nil
 	}
 	if s := TraceStore(); s != nil {
-		if reg := s.Covering(trace.IDOf(ps.e.Prog), start, n); reg != nil {
+		if reg, ok := s.Peek(store.IDOf(ps.e.Prog), start, n); ok {
 			if reg.Final && start >= reg.End() {
 				// The program halts before the window begins.
 				ps.halt = true

@@ -6,25 +6,25 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/ckpt"
 	"repro/internal/obs"
 	"repro/internal/pb"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
 // withFreshTraceStore installs dedicated trace and checkpoint stores for
 // the test body and restores the shared ones afterwards, so these tests
 // neither see nor leave warm state.
-func withFreshTraceStore(t *testing.T, budget int64, f func(s *trace.Store)) {
+func withFreshTraceStore(t *testing.T, budget int64, f func(s *store.Store[*trace.Region])) {
 	t.Helper()
 	prevCk := CheckpointStore()
-	ck := ckpt.New(DefaultCheckpointBudget)
+	ck := NewCheckpointStore(DefaultCheckpointBudget)
 	ck.Obs = obs.NewRegistry()
 	SetCheckpointStore(ck)
 	defer SetCheckpointStore(prevCk)
 	prev := TraceStore()
-	s := trace.New(budget)
+	s := NewTraceStore(budget)
 	s.Obs = obs.NewRegistry()
 	SetTraceStore(s)
 	defer SetTraceStore(prev)
@@ -55,7 +55,7 @@ func TestReplayEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trace-off run: %v", err)
 			}
-			withFreshTraceStore(t, DefaultTraceBudget, func(s *trace.Store) {
+			withFreshTraceStore(t, DefaultTraceBudget, func(s *store.Store[*trace.Region]) {
 				cold, err := tech.Run(ctx)
 				if err != nil {
 					t.Fatalf("cold-trace run: %v", err)
@@ -107,7 +107,7 @@ func TestSweepRecordsOnce(t *testing.T) {
 		t.Fatalf("PB design has %d rows, need %d", d.Runs(), configs)
 	}
 	tech := FFRun{X: 1000, Z: 200}
-	withFreshTraceStore(t, DefaultTraceBudget, func(s *trace.Store) {
+	withFreshTraceStore(t, DefaultTraceBudget, func(s *store.Store[*trace.Region]) {
 		var functional uint64
 		for i := 0; i < configs; i++ {
 			cfg, err := sim.PBConfig(d.Rows[i])
@@ -150,7 +150,7 @@ func TestTraceStoreBudget(t *testing.T) {
 	// Room for roughly one 200-unit region plus pad, so repeated distinct
 	// windows force eviction.
 	budget := int64((testScale.Instr(200)+2*tracePad)*trace.RecBytes) + 64
-	withFreshTraceStore(t, budget, func(s *trace.Store) {
+	withFreshTraceStore(t, budget, func(s *store.Store[*trace.Region]) {
 		for i := 0; i < 4; i++ {
 			tech := FFRun{X: float64(500 * (i + 1)), Z: 200}
 			if _, err := tech.Run(testCtx(bench.Gzip)); err != nil {

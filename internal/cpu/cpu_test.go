@@ -385,3 +385,21 @@ func TestEmuResetRestoresInitialState(t *testing.T) {
 		t.Error("re-run after reset diverges")
 	}
 }
+
+// TestRestoreRejectsOtherProgram: a checkpoint carries its program's
+// fingerprint, so restoring it into a different program fails even when
+// the memory sizes match.
+func TestRestoreRejectsOtherProgram(t *testing.T) {
+	a, b := sumProgram(t, 50), sumProgram(t, 60)
+	if a.Fingerprint() == b.Fingerprint() || len(NewEmu(a).Mem) != len(NewEmu(b).Mem) {
+		t.Fatal("test programs must differ in code but share a memory size")
+	}
+	ea := NewEmu(a)
+	ea.Run(10)
+	if err := NewEmu(b).Restore(ea.Snapshot()); err == nil {
+		t.Fatal("Restore accepted a checkpoint from a different program")
+	}
+	if err := NewEmu(a).Restore(ea.Snapshot()); err != nil {
+		t.Fatalf("Restore rejected its own program's checkpoint: %v", err)
+	}
+}

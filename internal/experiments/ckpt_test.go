@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // withCkptStore swaps the shared checkpoint store for the test body.
-func withCkptStore(t *testing.T, s *ckpt.Store, f func()) {
+func withCkptStore(t *testing.T, s *store.Store[*cpu.Checkpoint], f func()) {
 	t.Helper()
 	prev := core.CheckpointStore()
 	core.SetCheckpointStore(s)
@@ -49,7 +50,7 @@ func TestCheckpointStoreFigureDeterminism(t *testing.T) {
 	var off string
 	withCkptStore(t, nil, func() { off = render(0) })
 
-	s := ckpt.New(core.DefaultCheckpointBudget)
+	s := core.NewCheckpointStore(core.DefaultCheckpointBudget)
 	s.Obs = obs.NewRegistry()
 	var on string
 	withCkptStore(t, s, func() { on = render(8) })
@@ -73,7 +74,7 @@ func TestCheckpointStoreFigureDeterminism(t *testing.T) {
 // TestOptionsCloseResetsStore: sweep teardown drops the resident
 // checkpoints and counters so the next sweep starts cold and bounded.
 func TestOptionsCloseResetsStore(t *testing.T) {
-	s := ckpt.New(core.DefaultCheckpointBudget)
+	s := core.NewCheckpointStore(core.DefaultCheckpointBudget)
 	s.Obs = obs.NewRegistry()
 	withCkptStore(t, s, func() {
 		o := ckptOptions(0)

@@ -26,7 +26,6 @@ import (
 	"repro/internal/pb"
 	"repro/internal/runstate"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/watchdog"
 	"repro/internal/xrand"
 )
@@ -719,7 +718,7 @@ func (o *Options) ensureTrace() {
 		if budget <= 0 {
 			budget = core.DefaultTraceBudget
 		}
-		core.SetTraceStore(trace.New(budget))
+		core.SetTraceStore(core.NewTraceStore(budget))
 	})
 }
 

@@ -10,11 +10,11 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // planOf builds n distinct dummy cells (the pool never interprets the
@@ -322,14 +322,14 @@ func TestPoolCostAttribution(t *testing.T) {
 func TestPoolCostCkptDeltas(t *testing.T) {
 	old := core.CheckpointStore()
 	defer core.SetCheckpointStore(old)
-	st := ckpt.New(1 << 20)
+	st := core.NewCheckpointStore(1 << 20)
 	core.SetCheckpointStore(st)
 
 	p := &Pool{Workers: 1}
 	outs, _ := p.Run(context.Background(), planOf(2),
 		func(ctx context.Context, w *Worker, c Cell) (core.Result, error) {
 			// First cell misses (and populates), second hits.
-			_, _, err := st.Prefix(ctx, ckpt.ProgID{Name: "t"}, 100,
+			_, _, err := st.Get(ctx, store.ProgID{Name: "t"}, 100, 0,
 				func(near *cpu.Checkpoint, nearPos uint64) (*cpu.Checkpoint, error) {
 					return &cpu.Checkpoint{Count: 100}, nil
 				})

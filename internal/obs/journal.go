@@ -23,7 +23,7 @@ const (
 	EvCellFinish
 	EvCellRetry
 	EvCellPanic
-	// Checkpoint store traffic (internal/ckpt).
+	// Checkpoint store traffic (core.NewCheckpointStore).
 	EvCkptHit
 	EvCkptMiss
 	EvCkptEvict
@@ -50,7 +50,7 @@ const (
 	// The process received a termination signal and dumped a mid-run
 	// manifest post-mortem; Subject names the signal.
 	EvSignal
-	// Trace store traffic (internal/trace): a replay hit, a recording
+	// Trace store traffic (core.NewTraceStore): a replay hit, a recording
 	// miss, or an eviction under byte pressure.
 	EvTraceHit
 	EvTraceMiss

@@ -1,6 +1,5 @@
-// Package trace provides a shared, thread-safe, byte-bounded store of
-// functional execution traces keyed by (program identity, region start).
-// The functional instruction stream — which instructions retire, their
+// Package trace defines the records of functional execution traces. The
+// functional instruction stream — which instructions retire, their
 // effective addresses, branch outcomes and targets — is configuration
 // independent: in a Plackett-Burman sweep all ~44 configurations of one
 // benchmark consume the very same stream. Recording it once and replaying
@@ -12,16 +11,13 @@
 // bytes): everything the timing core's fetch/dispatch consumes beyond the
 // static pre-decoded template — the PC (identity into the decode table),
 // the effective address, the branch outcome/target, and the trivial
-// classification. The store is byte-bounded with LRU eviction and
-// single-flight population, mirroring internal/ckpt: under the parallel
-// scheduler, concurrent runs needing the same region elect one owner to
-// record it while the others wait for the finished region.
+// classification. Regions are shared through the same byte-bounded,
+// single-flight store (internal/store) that holds functional-prefix
+// checkpoints, under a covering hit rule: a region serves any window it
+// contains.
 package trace
 
-import (
-	"repro/internal/isa"
-	"repro/internal/program"
-)
+import "repro/internal/isa"
 
 // Rec flag bits. Bits 1-2 carry the isa.TrivialKind so replay reproduces
 // trivial-computation classification without re-detecting it.
@@ -91,25 +87,7 @@ func (rg *Region) Covers(start, want uint64) bool {
 }
 
 // Bytes is the resident accounting size of the region.
-func (rg *Region) Bytes() int64 {
-	const fixed = int64(64)
-	return int64(len(rg.Recs))*RecBytes + fixed
-}
+func (rg *Region) Bytes() int64 { return RegionBytes(len(rg.Recs)) }
 
-// ProgID identifies a program image: its name plus the image fingerprint,
-// so two images that merely share a name can never alias.
-type ProgID struct {
-	Name string
-	FP   uint64
-}
-
-// IDOf derives the store identity of a program.
-func IDOf(p *program.Program) ProgID {
-	return ProgID{Name: p.Name, FP: p.Fingerprint()}
-}
-
-// Key addresses one region: a program at a region start position.
-type Key struct {
-	Prog  ProgID
-	Start uint64
-}
+// RegionBytes is the resident accounting size of a region of n records.
+func RegionBytes(n int) int64 { return int64(n)*RecBytes + 64 }

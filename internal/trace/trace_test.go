@@ -1,21 +1,10 @@
 package trace
 
 import (
-	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/obs"
 )
-
-func newTestStore(maxBytes int64) *Store {
-	s := New(maxBytes)
-	s.Obs = obs.NewRegistry()
-	return s
-}
 
 // region builds a dense test region of n records starting at start.
 func region(start uint64, n int, final bool) *Region {
@@ -78,191 +67,5 @@ func TestRegionCovers(t *testing.T) {
 		if got := fin.Covers(tc.start, tc.want); got != tc.covered {
 			t.Errorf("final Covers(%d, %d) = %v, want %v", tc.start, tc.want, got, tc.covered)
 		}
-	}
-}
-
-func TestWindowRecordsOnceAndReplays(t *testing.T) {
-	s := newTestStore(1 << 20)
-	id := ProgID{Name: "p", FP: 1}
-	produced := 0
-	produce := func() (*Region, error) {
-		produced++
-		return region(0, 1000, false), nil
-	}
-
-	rg, owned, err := s.Window(context.Background(), id, 0, 1000, produce)
-	if err != nil || !owned || rg == nil {
-		t.Fatalf("first Window = (%v, %v, %v), want owned region", rg, owned, err)
-	}
-	// Second request, and a shorter suffix window, both replay.
-	for _, start := range []uint64{0, 400} {
-		rg, owned, err := s.Window(context.Background(), id, start, 500, produce)
-		if err != nil || owned || rg == nil || !rg.Covers(start, 500) {
-			t.Fatalf("Window(%d) = (%v, %v, %v), want covering hit", start, rg, owned, err)
-		}
-	}
-	if produced != 1 {
-		t.Errorf("produce ran %d times, want 1", produced)
-	}
-	st := s.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.RecordedBytes == 0 {
-		t.Errorf("stats = %+v, want 2 hits / 1 miss", st)
-	}
-}
-
-func TestWindowSingleFlight(t *testing.T) {
-	s := newTestStore(1 << 20)
-	id := ProgID{Name: "p", FP: 1}
-	var produced atomic.Int32
-	release := make(chan struct{})
-
-	const waiters = 8
-	var wg sync.WaitGroup
-	results := make([]*Region, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rg, _, err := s.Window(context.Background(), id, 0, 100, func() (*Region, error) {
-				produced.Add(1)
-				<-release
-				return region(0, 100, false), nil
-			})
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-			}
-			results[i] = rg
-		}(i)
-	}
-	// Let the goroutines pile onto the flight, then release the owner.
-	for {
-		s.mu.Lock()
-		n := len(s.inflight)
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-	}
-	close(release)
-	wg.Wait()
-
-	if n := produced.Load(); n != 1 {
-		t.Errorf("produce ran %d times under contention, want 1", n)
-	}
-	for i, rg := range results {
-		if rg == nil || !rg.Covers(0, 100) {
-			t.Errorf("waiter %d got %v, want the recorded region", i, rg)
-		}
-	}
-}
-
-func TestWindowOwnerFailureUnblocksWaiters(t *testing.T) {
-	s := newTestStore(1 << 20)
-	id := ProgID{Name: "p", FP: 1}
-	boom := errors.New("boom")
-
-	_, owned, err := s.Window(context.Background(), id, 0, 100, func() (*Region, error) {
-		return nil, boom
-	})
-	if !owned || !errors.Is(err, boom) {
-		t.Fatalf("owner got (%v, %v), want its own failure back", owned, err)
-	}
-	// The failed flight is released: the next request becomes a new owner.
-	rg, owned, err := s.Window(context.Background(), id, 0, 100, func() (*Region, error) {
-		return region(0, 100, false), nil
-	})
-	if err != nil || !owned || rg == nil {
-		t.Fatalf("retry after failure = (%v, %v, %v), want fresh ownership", rg, owned, err)
-	}
-}
-
-func TestWindowWaitCancellation(t *testing.T) {
-	s := newTestStore(1 << 20)
-	id := ProgID{Name: "p", FP: 1}
-	release := make(chan struct{})
-	ownerDone := make(chan struct{})
-	go func() {
-		defer close(ownerDone)
-		s.Window(context.Background(), id, 0, 100, func() (*Region, error) {
-			<-release
-			return region(0, 100, false), nil
-		})
-	}()
-	for {
-		s.mu.Lock()
-		n := len(s.inflight)
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := s.Window(ctx, id, 0, 100, nil); err == nil {
-		t.Error("cancelled wait returned nil error")
-	}
-	close(release)
-	<-ownerDone
-}
-
-func TestStoreBudgetAndLRUEviction(t *testing.T) {
-	rgBytes := region(0, 100, false).Bytes()
-	s := newTestStore(3 * rgBytes)
-	id := ProgID{Name: "p", FP: 1}
-
-	for i := 0; i < 5; i++ {
-		s.Put(id, region(uint64(i*1000), 100, false))
-		if st := s.Stats(); st.Bytes > st.MaxBytes {
-			t.Fatalf("after put %d: resident %d exceeds budget %d", i, st.Bytes, st.MaxBytes)
-		}
-	}
-	st := s.Stats()
-	if st.Entries != 3 || st.Evictions != 2 {
-		t.Errorf("stats = %+v, want 3 resident / 2 evicted", st)
-	}
-	// The oldest regions were evicted; the newest survive.
-	if s.Covering(id, 0, 100) != nil || s.Covering(id, 4000, 100) == nil {
-		t.Error("LRU evicted the wrong end")
-	}
-
-	// A region larger than the whole budget is not cached at all.
-	s.Put(id, region(9000, 10000, false))
-	if s.Covering(id, 9000, 100) != nil {
-		t.Error("over-budget region was cached")
-	}
-}
-
-func TestPutKeepsLongerRegionOnSameStart(t *testing.T) {
-	s := newTestStore(1 << 20)
-	id := ProgID{Name: "p", FP: 1}
-	s.Put(id, region(0, 500, false))
-	s.Put(id, region(0, 100, false)) // racing shorter recording loses
-	if rg := s.Covering(id, 0, 400); rg == nil || len(rg.Recs) != 500 {
-		t.Errorf("shorter same-start region displaced the longer one: %v", rg)
-	}
-	s.Put(id, region(0, 800, false)) // longer recording wins
-	if rg := s.Covering(id, 0, 700); rg == nil || len(rg.Recs) != 800 {
-		t.Errorf("longer same-start region did not replace: %v", rg)
-	}
-	if st := s.Stats(); st.Evictions != 0 {
-		t.Errorf("same-start replacement counted as eviction pressure: %+v", st)
-	}
-}
-
-func TestStoreReset(t *testing.T) {
-	s := newTestStore(1 << 20)
-	id := ProgID{Name: "p", FP: 1}
-	if _, _, err := s.Window(context.Background(), id, 0, 100, func() (*Region, error) {
-		return region(0, 100, false), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	st := s.Stats()
-	if st.Entries != 0 || st.Bytes != 0 || st.Hits != 0 || st.Misses != 0 || st.RecordedBytes != 0 {
-		t.Errorf("Reset left state: %+v", st)
-	}
-	if s.Covering(id, 0, 100) != nil {
-		t.Error("Reset left a resident region")
 	}
 }
