@@ -44,7 +44,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/pb"
 	"repro/internal/sim"
@@ -175,9 +174,8 @@ func main() {
 	mb, err := measureMem(memBench, *itersFlag)
 	die(err)
 	base.Mem = &mb
-	fmt.Fprintf(os.Stderr, "mem      %s warming-heavy run: off %v, on %v (%.2fx, stats identical: %v)\n",
-		mb.Bench, time.Duration(mb.OffWallNS).Round(time.Microsecond),
-		time.Duration(mb.OnWallNS).Round(time.Microsecond), mb.Speedup, mb.StatsIdentical)
+	fmt.Fprintf(os.Stderr, "mem      %s warming-heavy run: %v (%.1f ns/instr)\n",
+		mb.Bench, time.Duration(mb.WallNS).Round(time.Microsecond), mb.NSPerInstr)
 
 	tlb, err := measureTimeline(memBench, *itersFlag)
 	die(err)
@@ -363,79 +361,36 @@ func pbSweep(b bench.Name, configs int, tech core.Technique) (time.Duration, uin
 	return time.Since(start), instr, nil
 }
 
-// measureMem runs a SMARTS simulation of one benchmark twice — once with
-// the memory-hierarchy fast paths and batched warming disabled, once
-// enabled (the shipping default) — and reports the min-of-iters walls.
-// SMARTS is the workload where the batched pipeline earns its keep: the
-// stream between samples is pure functional warming (every instruction is
-// an I-fetch plus cache/TLB updates and nothing else), so the hierarchy
-// is the entire inner loop rather than a fraction of an out-of-order
-// core's cycle. Both caching stores are detached so neither arm amortizes
-// work the other paid for. The fast paths are semantics-preserving by
-// construction, so the two arms must produce bit-identical simulation
-// statistics (every cache and TLB counter included) and identical
-// instruction decompositions; a divergence is a correctness bug and fails
-// the run outright rather than writing a poisoned baseline.
+// measureMem times a SMARTS simulation of one benchmark and reports the
+// min-of-iters wall. SMARTS is the workload where the memory hierarchy
+// is the entire inner loop: the stream between samples is pure
+// functional warming (every instruction is an I-fetch plus cache/TLB
+// updates and nothing else), not a fraction of an out-of-order core's
+// cycle. Both caching stores are detached so no iteration amortizes work
+// an earlier one paid for.
 func measureMem(b bench.Name, iters int) (benchfmt.MemBaseline, error) {
 	tech := core.SMARTS{U: 100, W: 200}
 	ctx := core.Context{Bench: b, Config: sim.BaseConfig(), Scale: sim.ScaleTest}
-	prevFast, prevBatch := mem.FastPathsEnabled(), cpu.BatchedWarmEnabled()
-	defer func() {
-		mem.EnableFastPaths(prevFast)
-		cpu.EnableBatchedWarm(prevBatch)
-	}()
 	ckptStore := core.CheckpointStore()
 	core.SetCheckpointStore(nil)
 	defer core.SetCheckpointStore(ckptStore)
 	traceStore := core.TraceStore()
 	core.SetTraceStore(nil)
 	defer core.SetTraceStore(traceStore)
-	arm := func(on bool) (time.Duration, uint64, sim.Stats, error) {
-		mem.EnableFastPaths(on)
-		cpu.EnableBatchedWarm(on)
-		var bestWall time.Duration
-		var instr uint64
-		var stats sim.Stats
-		for i := 0; i < iters; i++ {
-			res, err := tech.Run(ctx)
-			if err != nil {
-				return 0, 0, stats, err
-			}
-			tel := res.Telemetry()
-			if i == 0 || tel.Wall < bestWall {
-				bestWall = tel.Wall
-			}
-			instr = tel.SimulatedInstr
-			stats = res.Stats
+	out := benchfmt.MemBaseline{Bench: string(b)}
+	for i := 0; i < iters; i++ {
+		res, err := tech.Run(ctx)
+		if err != nil {
+			return benchfmt.MemBaseline{}, err
 		}
-		return bestWall, instr, stats, nil
+		tel := res.Telemetry()
+		if i == 0 || tel.Wall.Nanoseconds() < out.WallNS {
+			out.WallNS = tel.Wall.Nanoseconds()
+		}
+		out.SimulatedInstr = tel.SimulatedInstr
 	}
-	offWall, offInstr, offStats, err := arm(false)
-	if err != nil {
-		return benchfmt.MemBaseline{}, err
-	}
-	onWall, onInstr, onStats, err := arm(true)
-	if err != nil {
-		return benchfmt.MemBaseline{}, err
-	}
-	identical := offInstr == onInstr && reflect.DeepEqual(offStats, onStats)
-	if !identical {
-		return benchfmt.MemBaseline{}, fmt.Errorf(
-			"mem fast paths changed simulation results on %s:\noff: %+v\non:  %+v", b, offStats, onStats)
-	}
-	out := benchfmt.MemBaseline{
-		Bench:          string(b),
-		SimulatedInstr: offInstr,
-		OffWallNS:      offWall.Nanoseconds(),
-		OnWallNS:       onWall.Nanoseconds(),
-		StatsIdentical: true,
-	}
-	if offInstr > 0 {
-		out.OffNSPerInstr = float64(offWall.Nanoseconds()) / float64(offInstr)
-		out.OnNSPerInstr = float64(onWall.Nanoseconds()) / float64(offInstr)
-	}
-	if onWall > 0 {
-		out.Speedup = float64(offWall) / float64(onWall)
+	if out.SimulatedInstr > 0 {
+		out.NSPerInstr = float64(out.WallNS) / float64(out.SimulatedInstr)
 	}
 	return out, nil
 }

@@ -88,9 +88,7 @@ type Baseline struct {
 	// path pays) and on, plus sustained events/sec.
 	Journal *JournalBaseline `json:"journal,omitempty"`
 
-	// Mem compares a detailed run of the memory-bound benchmark with the
-	// memory-hierarchy fast paths (SoA layout memos, open-addressed TLB,
-	// batched warming) disabled versus enabled.
+	// Mem times a warming-heavy run of the memory-bound benchmark.
 	Mem *MemBaseline `json:"mem,omitempty"`
 
 	// Timeline compares a sampled run of one benchmark with the interval
@@ -178,24 +176,16 @@ type TraceBaseline struct {
 	Bytes         int64   `json:"bytes"`
 }
 
-// MemBaseline is the before/after comparison for the memory-hierarchy
-// fast paths over a warming-heavy SMARTS run of one benchmark (the
+// MemBaseline times a warming-heavy SMARTS run of one benchmark (the
 // memory-bound one, so the cache/TLB model dominates the functional
-// warming between samples). Off disables the way/page memos, the
-// open-addressed TLB engine, and the batched warm pipeline; On is the
-// shipping default. Both walls are minima over the same iteration count
-// and simulate the identical instruction stream, so StatsIdentical — every
-// per-level cache and TLB counter equal between the arms — is a
-// correctness assertion the writer enforces, not a tolerance.
+// warming between samples). WallNS is the minimum over the iterations.
+// The JSON keys keep the on_ prefix of the former two-arm block, so
+// baselines written before and after compare.
 type MemBaseline struct {
 	Bench          string  `json:"bench"`
 	SimulatedInstr uint64  `json:"simulated_instr"`
-	OffWallNS      int64   `json:"off_wall_ns"`
-	OnWallNS       int64   `json:"on_wall_ns"`
-	OffNSPerInstr  float64 `json:"off_ns_per_instr"`
-	OnNSPerInstr   float64 `json:"on_ns_per_instr"`
-	Speedup        float64 `json:"speedup"`
-	StatsIdentical bool    `json:"stats_identical"`
+	WallNS         int64   `json:"on_wall_ns"`
+	NSPerInstr     float64 `json:"on_ns_per_instr"`
 }
 
 // TimelineBaseline is the before/after comparison for the interval

@@ -21,8 +21,7 @@ func sample() *Baseline {
 			Speedup: 2.5, P50NS: 10, P95NS: 20, P99NS: 30},
 		Ckpt:    &CkptBaseline{Bench: "gcc", Configs: 8, OnNSPerInstr: 2.0, OffNSPerInstr: 4.0, Hits: 7, Misses: 1},
 		Journal: &JournalBaseline{Events: 1 << 16, DisabledNSPerEvent: 1.5, EnabledNSPerEvent: 40},
-		Mem: &MemBaseline{Bench: "mcf", SimulatedInstr: 2000000, OffNSPerInstr: 5.0, OnNSPerInstr: 3.5,
-			Speedup: 1.43, StatsIdentical: true},
+		Mem:     &MemBaseline{Bench: "mcf", SimulatedInstr: 2000000, WallNS: 7000000, NSPerInstr: 3.5},
 		Timeline: &TimelineBaseline{Bench: "mcf", SimulatedInstr: 2000000, Intervals: 20,
 			OffNSPerInstr: 4.0, OnNSPerInstr: 4.05, OverheadPct: 1.2, StatsIdentical: true},
 	}
@@ -67,6 +66,11 @@ func TestCompareCatchesNSPerInstrRegression(t *testing.T) {
 	}
 	if !strings.Contains(cmp.Render(), "REGRESSION") {
 		t.Error("render does not mark the regression")
+	}
+	memWorse := sample()
+	memWorse.Mem.NSPerInstr *= 2 // +100%, tolerance is +40%
+	if cmp := Compare(old, memWorse, DefaultTolerances()); !cmp.Regressed() {
+		t.Errorf("2x mem ns/instr slowdown not flagged:\n%s", cmp.Render())
 	}
 	// Within tolerance passes.
 	mild := sample()
@@ -118,12 +122,6 @@ func TestCompareStructural(t *testing.T) {
 	missingMem.Mem = nil
 	if cmp := Compare(sample(), missingMem, tol); !cmp.Regressed() {
 		t.Error("missing mem block not flagged")
-	}
-
-	divergedMem := sample()
-	divergedMem.Mem.StatsIdentical = false
-	if cmp := Compare(sample(), divergedMem, tol); !cmp.Regressed() {
-		t.Error("mem fast-path stat divergence not flagged in structural-only mode")
 	}
 
 	memCorpus := sample()
@@ -194,8 +192,8 @@ func TestCommittedBaselineParses(t *testing.T) {
 	if len(b.Entries) == 0 || b.Sched == nil || b.Ckpt == nil || b.Journal == nil || b.Mem == nil {
 		t.Errorf("committed baseline incomplete: %+v", b)
 	}
-	if b.Mem != nil && !b.Mem.StatsIdentical {
-		t.Error("committed baseline records diverged mem fast-path arms")
+	if b.Mem != nil && b.Mem.NSPerInstr <= 0 {
+		t.Errorf("committed baseline mem block has no ns/instr: %+v", b.Mem)
 	}
 	for _, e := range b.Entries {
 		if e.CancelOverheadPct < 0 {

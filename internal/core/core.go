@@ -127,8 +127,8 @@ type Result struct {
 	// techniques (SMARTS) the passes' samples concatenate in pass order,
 	// each pass's At counter restarting from zero. The samples derive
 	// purely from the deterministic cycle stream, so a cell's timeline is
-	// byte-identical at any worker count and across the trace-replay,
-	// checkpoint, and memory fast-path toggles.
+	// byte-identical at any worker count and whether its stream is
+	// emulated or replayed, with or without checkpoints.
 	Timeline []cpu.TimelineSample `json:"timeline,omitempty"`
 }
 

@@ -51,14 +51,10 @@ type warmDigest struct {
 	ras  *branch.RAS
 }
 
-// runWarmChunks warms through the given chunk schedule with batching
-// forced on or off, from either the emulator or a recorded replay of it.
-func runWarmChunks(t testing.TB, p *program.Program, batched, replay bool, chunks []uint64) warmDigest {
+// runWarmChunks warms through the given chunk schedule from either the
+// emulator or a recorded replay of it.
+func runWarmChunks(t testing.TB, p *program.Program, replay bool, chunks []uint64) warmDigest {
 	t.Helper()
-	prev := BatchedWarmEnabled()
-	EnableBatchedWarm(batched)
-	defer EnableBatchedWarm(prev)
-
 	w := warmStructures(t)
 	var done uint64
 	if replay {
@@ -78,42 +74,40 @@ func runWarmChunks(t testing.TB, p *program.Program, batched, replay bool, chunk
 	return warmDigest{done: done, snap: w.Hier.Snap(), pred: w.Pred, btb: w.BTB, ras: w.RAS}
 }
 
-// TestBatchedWarmEquivalence: the slab-batched warm loops must leave the
-// hierarchy AND the branch structures in exactly the state the
-// per-instruction loop produces — for emulated and replayed streams, for
-// chunk schedules that split batches at odd boundaries, and across a halt.
+// TestBatchedWarmEquivalence: warming in chunks from a replayed trace must
+// leave the hierarchy AND the branch structures in exactly the state the
+// emulator's warm loop produces — for chunk schedules that resume
+// mid-stream at odd boundaries, and across a halt inside a chunk.
 func TestBatchedWarmEquivalence(t *testing.T) {
 	progs := map[string]*program.Program{
-		"sum": sumProgram(t, 500), // halts inside a batch
+		"sum": sumProgram(t, 500), // halts inside a chunk
 		"fp":  fpProgram(t, 100),
 	}
 	schedules := [][]uint64{
 		{1 << 20},                  // run to halt in one call
 		{1, 7, 300, 1000, 1 << 20}, // odd chunk boundaries
-		{255, 256, 257, 1 << 20},   // straddle the batch size exactly
+		{255, 256, 257, 1 << 20},   // chunks around a power of two
 	}
 	for name, p := range progs {
 		for si, chunks := range schedules {
-			for _, replay := range []bool{false, true} {
-				plain := runWarmChunks(t, p, false, replay, chunks)
-				batch := runWarmChunks(t, p, true, replay, chunks)
-				if plain.done != batch.done {
-					t.Fatalf("%s/sched%d/replay=%v: batched warmed %d instructions, plain %d",
-						name, si, replay, batch.done, plain.done)
-				}
-				if !reflect.DeepEqual(plain.snap, batch.snap) {
-					t.Errorf("%s/sched%d/replay=%v: hierarchy state diverges:\nplain: %+v\nbatch: %+v",
-						name, si, replay, plain.snap, batch.snap)
-				}
-				if !reflect.DeepEqual(plain.pred, batch.pred) {
-					t.Errorf("%s/sched%d/replay=%v: predictor state diverges", name, si, replay)
-				}
-				if !reflect.DeepEqual(plain.btb, batch.btb) {
-					t.Errorf("%s/sched%d/replay=%v: BTB state diverges", name, si, replay)
-				}
-				if !reflect.DeepEqual(plain.ras, batch.ras) {
-					t.Errorf("%s/sched%d/replay=%v: RAS state diverges", name, si, replay)
-				}
+			emu := runWarmChunks(t, p, false, chunks)
+			rep := runWarmChunks(t, p, true, chunks)
+			if emu.done != rep.done {
+				t.Fatalf("%s/sched%d: replay warmed %d instructions, emulator %d",
+					name, si, rep.done, emu.done)
+			}
+			if !reflect.DeepEqual(emu.snap, rep.snap) {
+				t.Errorf("%s/sched%d: hierarchy state diverges:\nemu:    %+v\nreplay: %+v",
+					name, si, emu.snap, rep.snap)
+			}
+			if !reflect.DeepEqual(emu.pred, rep.pred) {
+				t.Errorf("%s/sched%d: predictor state diverges", name, si)
+			}
+			if !reflect.DeepEqual(emu.btb, rep.btb) {
+				t.Errorf("%s/sched%d: BTB state diverges", name, si)
+			}
+			if !reflect.DeepEqual(emu.ras, rep.ras) {
+				t.Errorf("%s/sched%d: RAS state diverges", name, si)
 			}
 		}
 	}

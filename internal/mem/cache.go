@@ -8,33 +8,12 @@
 // a short linear read, not a pointer hop per line struct), dirty bits live
 // in a bitset, and the hot paths carry semantics-preserving memos (a
 // last-block way memo per cache, a last-page deferred-stamp memo in the
-// TLB). Every memo is proven stat-identical to the plain path — see
-// EnableFastPaths and the equivalence suites in mem, cpu, and core.
+// TLB). Every memo is stat-identical to the plain scan it skips: the mem
+// tests check each against a memo-less reference, and the core golden
+// digests pin the end-to-end statistics.
 package mem
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// fastPaths gates the semantics-preserving hot-path shortcuts across the
-// package: the caches' last-block way memo and the TLB's open-addressed
-// layout with its deferred-stamp page memo. It exists so the equivalence
-// suites (and cmd/benchjson's mem block) can run the identical workload
-// down the plain path and assert the statistics match bit for bit.
-// Structures snapshot the flag at construction time, so toggling affects
-// machines built afterwards, never ones mid-run.
-var fastPaths atomic.Bool
-
-func init() { fastPaths.Store(true) }
-
-// EnableFastPaths toggles the package's hot-path shortcuts for structures
-// constructed afterwards. The default is on; tests and A/B measurements
-// turn it off to exercise the reference implementations.
-func EnableFastPaths(on bool) { fastPaths.Store(on) }
-
-// FastPathsEnabled reports the current toggle.
-func FastPathsEnabled() bool { return fastPaths.Load() }
+import "fmt"
 
 // Replacement selects a cache replacement policy.
 type Replacement uint8
@@ -151,7 +130,6 @@ type Cache struct {
 	// verification catches that, so no invalidation bookkeeping exists.
 	memoBlk uint64
 	memoIdx int32
-	fast    bool // snapshot of EnableFastPaths at construction
 
 	// AssumeHit implements the paper's SimPoint cold-start policy
 	// ("Warm-Up: assume cache hit"): while enabled, a miss whose victim
@@ -184,7 +162,6 @@ func NewCache(cfg CacheConfig, name string) (*Cache, error) {
 		blockShift: shift,
 		setMask:    uint64(sets - 1),
 		rngState:   0x9e3779b97f4a7c15,
-		fast:       FastPathsEnabled(),
 	}, nil
 }
 
@@ -226,20 +203,6 @@ func (c *Cache) Latency() int { return c.cfg.Latency }
 // BlockBytes returns the line size.
 func (c *Cache) BlockBytes() int { return c.cfg.BlockBytes }
 
-// Reset invalidates all lines and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.stamps {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-	}
-	for i := range c.dirty {
-		c.dirty[i] = 0
-	}
-	c.clock = 0
-	c.memoBlk = 0
-	c.Stats = CacheStats{}
-}
-
 // Access looks up the block containing addr, installing it on a miss.
 // It returns hit=false when the block had to be fetched from below and
 // writeback=true when the installation evicted a dirty line (whose block
@@ -248,7 +211,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, writeback bool, evict
 	c.Stats.Accesses++
 	c.clock++
 	blk := addr >> c.blockShift
-	if c.fast && blk+1 == c.memoBlk {
+	if blk+1 == c.memoBlk {
 		// Way memo: verified same-block hit without the set scan. The
 		// bookkeeping below is exactly the scan's hit path.
 		i := int(c.memoIdx)
@@ -376,16 +339,4 @@ func (c *Cache) Prefetch(addr uint64) bool {
 	c.clearDirty(victim)
 	c.Stats.Prefetches++
 	return true
-}
-
-// Utilization returns the fraction of lines currently valid, used by tests
-// and the example tooling.
-func (c *Cache) Utilization() float64 {
-	valid := 0
-	for i := range c.stamps {
-		if c.stamps[i] != 0 {
-			valid++
-		}
-	}
-	return float64(valid) / float64(len(c.stamps))
 }

@@ -6,46 +6,31 @@ import (
 	"testing"
 )
 
-// withFastPaths runs f with the package fast-path toggle forced to on,
-// restoring the previous setting afterwards. Structures snapshot the
-// toggle at construction, so f must build its own caches/TLBs.
-func withFastPaths(t *testing.T, on bool, f func()) {
-	t.Helper()
-	prev := FastPathsEnabled()
-	EnableFastPaths(on)
-	defer EnableFastPaths(prev)
-	f()
-}
-
 // TestCachePrefetchEvictedFirst is the regression test for the prefetch
 // stamp bug: a prefetched line must be inserted at LRU-friendly position
 // (strictly older than every live line), so a never-touched prefetch is
 // the next victim — not shielded behind an MRU stamp.
 func TestCachePrefetchEvictedFirst(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		withFastPaths(t, fast, func() {
-			// One 2-way set of 64B blocks: 128B cache. Blocks A, B, C, D
-			// all map to set 0.
-			c := mustCache(t, CacheConfig{SizeKB: 1, Assoc: 2, BlockBytes: 64, Latency: 1})
-			const setStride = 1 * 1024 // sets * blockBytes
-			a, b, d, x := uint64(0), uint64(setStride), uint64(2*setStride), uint64(3*setStride)
-			c.Access(a, false) // stamp 1
-			c.Access(b, false) // stamp 2
-			if !c.Prefetch(d) {
-				t.Fatal("prefetch of absent block should be useful")
-			}
-			// The prefetch evicted LRU line a and must now be older than b.
-			if c.Probe(a) {
-				t.Fatal("prefetch should have evicted the LRU line")
-			}
-			c.Access(x, false) // miss: victim must be the untouched prefetch
-			if !c.Probe(b) {
-				t.Error("demand miss evicted the demand-fetched line instead of the untouched prefetch")
-			}
-			if c.Probe(d) {
-				t.Error("untouched prefetched line survived a demand miss")
-			}
-		})
+	// One 2-way set of 64B blocks: 128B cache. Blocks A, B, C, D all map
+	// to set 0.
+	c := mustCache(t, CacheConfig{SizeKB: 1, Assoc: 2, BlockBytes: 64, Latency: 1})
+	const setStride = 1 * 1024 // sets * blockBytes
+	a, b, d, x := uint64(0), uint64(setStride), uint64(2*setStride), uint64(3*setStride)
+	c.Access(a, false) // stamp 1
+	c.Access(b, false) // stamp 2
+	if !c.Prefetch(d) {
+		t.Fatal("prefetch of absent block should be useful")
+	}
+	// The prefetch evicted LRU line a and must now be older than b.
+	if c.Probe(a) {
+		t.Fatal("prefetch should have evicted the LRU line")
+	}
+	c.Access(x, false) // miss: victim must be the untouched prefetch
+	if !c.Probe(b) {
+		t.Error("demand miss evicted the demand-fetched line instead of the untouched prefetch")
+	}
+	if c.Probe(d) {
+		t.Error("untouched prefetched line survived a demand miss")
 	}
 }
 
@@ -70,8 +55,10 @@ func TestCachePrefetchIntoInvalidWay(t *testing.T) {
 }
 
 // cacheStream drives an identical randomized access/prefetch/probe stream
-// through c and returns a digest of every observable outcome.
-func cacheStream(c *Cache, seed int64, n int) []uint64 {
+// through c and returns a digest of every observable outcome. With noMemo
+// the way memo is cleared before every access, so every access takes the
+// full set scan.
+func cacheStream(c *Cache, seed int64, n int, noMemo bool) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var out []uint64
 	for i := 0; i < n; i++ {
@@ -95,6 +82,9 @@ func cacheStream(c *Cache, seed int64, n int) []uint64 {
 				out = append(out, 0)
 			}
 		default:
+			if noMemo {
+				c.memoBlk = 0
+			}
 			hit, wb, ev := c.Access(addr, rng.Intn(3) == 0)
 			v := uint64(0)
 			if hit {
@@ -112,31 +102,56 @@ func cacheStream(c *Cache, seed int64, n int) []uint64 {
 }
 
 // TestCacheFastPathEquivalence: the way memo must be invisible — every
-// access outcome and every statistic of a fast-path cache must match the
-// plain scan, across policies and randomized streams.
+// access outcome and every statistic must match a twin cache that scans
+// the set on every access, across policies and randomized streams.
 func TestCacheFastPathEquivalence(t *testing.T) {
 	for _, pol := range []Replacement{ReplaceLRU, ReplaceFIFO, ReplaceRandom} {
 		cfg := CacheConfig{SizeKB: 2, Assoc: 4, BlockBytes: 64, Latency: 1, Replace: pol}
 		for seed := int64(1); seed <= 5; seed++ {
-			var slow, fast []uint64
-			withFastPaths(t, false, func() {
-				c := mustCache(t, cfg)
-				slow = cacheStream(c, seed, 20000)
-			})
-			withFastPaths(t, true, func() {
-				c := mustCache(t, cfg)
-				fast = cacheStream(c, seed, 20000)
-			})
-			if !reflect.DeepEqual(slow, fast) {
-				t.Fatalf("policy %v seed %d: fast-path cache diverges from plain cache", pol, seed)
+			memo := cacheStream(mustCache(t, cfg), seed, 20000, false)
+			scan := cacheStream(mustCache(t, cfg), seed, 20000, true)
+			if !reflect.DeepEqual(memo, scan) {
+				t.Fatalf("policy %v seed %d: way-memo cache diverges from scanning twin", pol, seed)
 			}
 		}
 	}
 }
 
+// refTLB is the reference the TLB must match: exact LRU over a
+// page→stamp map, with a full scan for the victim.
+type refTLB struct {
+	entries          int
+	clock            uint64
+	pages            map[uint64]uint64
+	Accesses, Misses uint64
+}
+
+func (t *refTLB) Access(addr uint64) bool {
+	t.Accesses++
+	t.clock++
+	page := addr / PageBytes
+	if _, ok := t.pages[page]; ok {
+		t.pages[page] = t.clock
+		return true
+	}
+	t.Misses++
+	if len(t.pages) >= t.entries {
+		victim, oldest := uint64(0), ^uint64(0)
+		for p, stamp := range t.pages {
+			if stamp < oldest {
+				victim, oldest = p, stamp
+			}
+		}
+		delete(t.pages, victim)
+	}
+	t.pages[page] = t.clock
+	return false
+}
+
 // tlbStream drives a skewed random page stream (long same-page streaks,
-// periodic thrashing beyond capacity) and digests hit bits and stats.
-func tlbStream(tb *TLB, seed int64, n int) []uint64 {
+// periodic thrashing beyond capacity) through access and returns its hit
+// bits.
+func tlbStream(access func(uint64) bool, seed int64, n int) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var out []uint64
 	addr := uint64(0)
@@ -149,64 +164,34 @@ func tlbStream(tb *TLB, seed int64, n int) []uint64 {
 		default: // same-page streak (the MRU filter's common case)
 			addr += uint64(rng.Intn(256))
 		}
-		if tb.Access(addr) {
+		if access(addr) {
 			out = append(out, 1)
 		} else {
 			out = append(out, 0)
 		}
 	}
-	return append(out, tb.Accesses, tb.Misses)
+	return out
 }
 
-// TestTLBFastSlowEquivalence: the open-addressed engine must be
-// observation-identical to the map engine — same hit bits, same counters —
-// on streams that stress streaks, re-references, and capacity evictions.
+// TestTLBFastSlowEquivalence: the open-addressed engine with its deferred
+// MRU stamp must be observation-identical to the reference map engine —
+// same hit bits, same counters — on streams that stress streaks,
+// re-references, and capacity evictions.
 func TestTLBFastSlowEquivalence(t *testing.T) {
 	for _, entries := range []int{1, 2, 8, 16} {
 		for seed := int64(1); seed <= 5; seed++ {
-			var slow, fast []uint64
-			withFastPaths(t, false, func() {
-				tb, err := NewTLB(entries)
-				if err != nil {
-					t.Fatal(err)
-				}
-				slow = tlbStream(tb, seed, 20000)
-			})
-			withFastPaths(t, true, func() {
-				tb, err := NewTLB(entries)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fast = tlbStream(tb, seed, 20000)
-			})
-			if !reflect.DeepEqual(slow, fast) {
-				t.Fatalf("entries %d seed %d: fast TLB diverges from map TLB", entries, seed)
+			tb, err := NewTLB(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &refTLB{entries: entries, pages: map[uint64]uint64{}}
+			got := append(tlbStream(tb.Access, seed, 20000), tb.Accesses, tb.Misses)
+			want := append(tlbStream(ref.Access, seed, 20000), ref.Accesses, ref.Misses)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("entries %d seed %d: TLB diverges from the reference map engine", entries, seed)
 			}
 		}
 	}
-}
-
-// TestTLBFastReset pins that Reset returns the fast engine to a truly
-// empty table (a stale key would corrupt later probe chains).
-func TestTLBFastReset(t *testing.T) {
-	withFastPaths(t, true, func() {
-		tb, err := NewTLB(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 100; i++ {
-			tb.Access(uint64(i) * 13 * PageBytes)
-		}
-		tb.Reset()
-		if tb.Accesses != 0 || tb.Misses != 0 {
-			t.Fatalf("stats survive Reset: %d/%d", tb.Accesses, tb.Misses)
-		}
-		for i := 0; i < 4; i++ {
-			if tb.Access(uint64(i+1000)*PageBytes) != false {
-				t.Fatal("post-Reset access hit a stale translation")
-			}
-		}
-	})
 }
 
 // randomReqs builds a request slab with realistic locality: bursts of
@@ -298,27 +283,17 @@ func benchCache(b *testing.B) *Cache {
 // BenchmarkCacheAccess measures the demand-access path over a strided
 // stream with same-block repeats (the pattern the way memo targets).
 func BenchmarkCacheAccess(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"fast", true}, {"plain", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := FastPathsEnabled()
-			EnableFastPaths(mode.on)
-			defer EnableFastPaths(prev)
-			c := benchCache(b)
-			addr := uint64(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Three touches per block, then advance; wraps at 1MiB so
-				// the cache stays under capacity pressure.
-				c.Access(addr, i&7 == 0)
-				c.Access(addr+8, false)
-				c.Access(addr+16, false)
-				addr = (addr + 64) & (1<<20 - 1)
-			}
-		})
+	c := benchCache(b)
+	addr := uint64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Three touches per block, then advance; wraps at 1MiB so the
+		// cache stays under capacity pressure.
+		c.Access(addr, i&7 == 0)
+		c.Access(addr+8, false)
+		c.Access(addr+16, false)
+		addr = (addr + 64) & (1<<20 - 1)
 	}
 }
 

@@ -93,15 +93,6 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
-// Reset clears all caches, TLBs and statistics.
-func (h *Hierarchy) Reset() {
-	h.L1I.Reset()
-	h.L1D.Reset()
-	h.L2.Reset()
-	h.ITLB.Reset()
-	h.DTLB.Reset()
-}
-
 // SetAssumeHit toggles the assume-hit cold-start policy on every level.
 func (h *Hierarchy) SetAssumeHit(on bool) {
 	h.L1I.AssumeHit = on
@@ -135,15 +126,9 @@ func (l Level) String() string {
 	}
 }
 
-// accessL2 handles an L1 miss: look up L2, fill from memory if needed, and
-// return the additional latency beyond the L1 hit cost.
-func (h *Hierarchy) accessL2(addr uint64, write bool) int {
-	lat, _ := h.accessL2Level(addr, write)
-	return lat
-}
-
-// accessL2Level is accessL2 reporting whether the block came from L2 or
-// from main memory.
+// accessL2Level handles an L1 miss: it looks up L2, fills from memory if
+// needed, and returns the additional latency beyond the L1 hit cost and
+// whether the block came from L2 or from main memory.
 func (h *Hierarchy) accessL2Level(addr uint64, write bool) (int, Level) {
 	hit, _, _ := h.L2.Access(addr, write)
 	if hit {
@@ -167,7 +152,8 @@ func (h *Hierarchy) AccessI(addr uint64) int {
 	if hit {
 		return lat
 	}
-	lat += h.accessL2(addr, false)
+	l2lat, _ := h.accessL2Level(addr, false)
+	lat += l2lat
 	if h.cfg.Prefetch == PrefetchNextLine {
 		h.L1I.Prefetch(addr + uint64(h.L1I.BlockBytes()))
 	}
@@ -212,7 +198,7 @@ func (h *Hierarchy) WarmI(addr uint64) {
 	h.ITLB.Access(addr)
 	hit, _, _ := h.L1I.Access(addr, false)
 	if !hit {
-		h.accessL2(addr, false)
+		h.accessL2Level(addr, false)
 		if h.cfg.Prefetch == PrefetchNextLine {
 			h.L1I.Prefetch(addr + uint64(h.L1I.BlockBytes()))
 		}
@@ -228,7 +214,7 @@ func (h *Hierarchy) WarmD(addr uint64, write bool) {
 		h.L2.Access(evicted, true)
 	}
 	if !hit {
-		h.accessL2(addr, false)
+		h.accessL2Level(addr, false)
 		if h.cfg.Prefetch == PrefetchNextLine {
 			h.L1D.Prefetch(addr + uint64(h.L1D.BlockBytes()))
 		}
@@ -246,10 +232,10 @@ const (
 )
 
 // MemReq is one element of a batched request stream: an address plus the
-// access kind. Slabs of these are filled by the cpu warm/replay loops and
-// streamed through the hierarchy in one call, so the per-instruction
-// call overhead and the cache/TLB working state stay hot across a whole
-// batch instead of being re-established per retired instruction.
+// access kind. The simulator's warm loops call WarmI/WarmD per retired
+// instruction; request slabs exist for harnesses that replay a recorded
+// stream straight into the hierarchy (the study benchmark's per-layer
+// probes and the mem tests).
 type MemReq struct {
 	Addr uint64
 	Kind ReqKind
@@ -259,8 +245,7 @@ type MemReq struct {
 // cache and TLB state without computing latencies (the functional-warming
 // contract of WarmI/WarmD). State and statistics after WarmBatch are
 // identical to issuing the same requests through WarmI/WarmD one at a
-// time, because the per-request work is exactly the same — batching only
-// removes call overhead and keeps the scan state resident.
+// time, because the per-request work is exactly the same.
 func (h *Hierarchy) WarmBatch(reqs []MemReq) {
 	for i := range reqs {
 		r := &reqs[i]

@@ -11,18 +11,13 @@ const PageBytes = 4096
 // TLB is a fully-associative translation lookaside buffer with true LRU
 // replacement.
 //
-// Two interchangeable engines implement it. The plain engine keeps a
-// page→stamp map and scans it for the LRU victim on miss — clear, and the
-// reference the equivalence suite measures against. The fast engine
-// (selected by EnableFastPaths at construction) keeps the same translations
-// in an open-addressed linear-probe table over two dense uint64 slices, so
-// the victim scan that dominates TLB-bound workloads (mcf thrashes a
-// 128-entry DTLB) is a linear min-scan instead of a randomized map walk,
-// and the common same-page streak defers its stamp update entirely: the
-// MRU page's stamp lives in lastStamp and is flushed into the table only
-// when the streak ends, which is always before any LRU decision reads it.
-// Both engines are exact LRU over unique stamps, so Accesses, Misses, and
-// the resident set evolve identically.
+// Translations live in an open-addressed linear-probe table over two dense
+// uint64 slices, so the victim scan that dominates TLB-bound workloads
+// (mcf thrashes a 128-entry DTLB) is a linear min-scan over contiguous
+// memory, and the common same-page streak defers its stamp update
+// entirely: the MRU page's stamp lives in lastStamp and is flushed into
+// the table only when the streak ends, which is always before any LRU
+// decision reads it. Stamps are unique, so replacement is exact LRU.
 type TLB struct {
 	entries  int
 	clock    uint64
@@ -31,15 +26,11 @@ type TLB struct {
 	Accesses uint64
 	Misses   uint64
 
-	// Plain engine: page number -> LRU stamp.
-	pages map[uint64]uint64
-
-	// Fast engine: open-addressed table, capacity a power of two kept at
-	// most half full. keys holds page+1 (0 = empty slot); stamps holds
-	// the LRU stamp, except that the MRU page's current stamp is
-	// lastStamp until flushLast writes it back. Deletions use
-	// backward-shift compaction, so there are no tombstones to skip.
-	fast      bool
+	// The table's capacity is a power of two kept at most half full. keys
+	// holds page+1 (0 = empty slot); stamps holds the LRU stamp, except
+	// that the MRU page's current stamp is lastStamp until flushLast
+	// writes it back. Deletions use backward-shift compaction, so there
+	// are no tombstones to skip.
 	keys      []uint64
 	stamps    []uint64
 	hashShift uint
@@ -53,36 +44,17 @@ func NewTLB(entries int) (*TLB, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("mem: TLB needs at least one entry, got %d", entries)
 	}
-	t := &TLB{entries: entries, fast: FastPathsEnabled()}
-	if t.fast {
-		cap := 1 << bits.Len(uint(2*entries-1)) // next power of two ≥ 2*entries
-		t.keys = make([]uint64, cap)
-		t.stamps = make([]uint64, cap)
-		t.hashShift = uint(64 - bits.Len(uint(cap-1)))
-	} else {
-		t.pages = make(map[uint64]uint64, entries)
-	}
-	return t, nil
+	cap := 1 << bits.Len(uint(2*entries-1)) // next power of two ≥ 2*entries
+	return &TLB{
+		entries:   entries,
+		keys:      make([]uint64, cap),
+		stamps:    make([]uint64, cap),
+		hashShift: uint(64 - bits.Len(uint(cap-1))),
+	}, nil
 }
 
 // Entries returns the TLB capacity.
 func (t *TLB) Entries() int { return t.entries }
-
-// Reset clears all translations and statistics.
-func (t *TLB) Reset() {
-	t.clock = 0
-	t.lastOK = false
-	t.Accesses = 0
-	t.Misses = 0
-	if t.fast {
-		for i := range t.keys {
-			t.keys[i] = 0
-		}
-		t.live = 0
-		return
-	}
-	t.pages = make(map[uint64]uint64, t.entries)
-}
 
 // Access translates addr, returning true on a TLB hit. Misses install the
 // page, evicting the least recently used translation when full.
@@ -91,57 +63,9 @@ func (t *TLB) Access(addr uint64) bool {
 	t.clock++
 	page := addr / PageBytes
 	if t.lastOK && page == t.lastPage {
-		if t.fast {
-			t.lastStamp = t.clock // deferred: flushed before any LRU scan
-		} else {
-			t.pages[page] = t.clock
-		}
+		t.lastStamp = t.clock // deferred: flushed before any LRU scan
 		return true
 	}
-	if t.fast {
-		return t.fastAccess(page)
-	}
-	if _, ok := t.pages[page]; ok {
-		t.pages[page] = t.clock
-		t.lastPage, t.lastOK = page, true
-		return true
-	}
-	t.Misses++
-	if len(t.pages) >= t.entries {
-		var victim uint64
-		oldest := ^uint64(0)
-		for p, stamp := range t.pages {
-			if stamp < oldest {
-				oldest = stamp
-				victim = p
-			}
-		}
-		delete(t.pages, victim)
-		if victim == t.lastPage {
-			t.lastOK = false
-		}
-	}
-	t.pages[page] = t.clock
-	t.lastPage, t.lastOK = page, true
-	return false
-}
-
-// slotOf returns the home slot of a key (page+1) via a multiplicative hash.
-func (t *TLB) slotOf(key uint64) int {
-	return int((key * 0x9e3779b97f4a7c15) >> t.hashShift)
-}
-
-// flushLast writes the deferred MRU stamp back into the table. Must run
-// before anything reads or rearranges stamps/slots.
-func (t *TLB) flushLast() {
-	if t.lastOK {
-		t.stamps[t.lastIdx] = t.lastStamp
-	}
-}
-
-// fastAccess is the open-addressed engine's lookup/install path for a page
-// that is not the current MRU page.
-func (t *TLB) fastAccess(page uint64) bool {
 	key := page + 1
 	mask := len(t.keys) - 1
 	i := t.slotOf(key)
@@ -163,9 +87,8 @@ func (t *TLB) fastAccess(page uint64) bool {
 	t.flushLast()
 	t.lastOK = false // no deferred stamp while we rearrange the table
 	if t.live >= t.entries {
-		// Dense LRU victim scan over the whole table. The table is ≤ half
-		// full and contiguous in memory, so this is far cheaper than the
-		// plain engine's map walk — and deterministic.
+		// LRU victim scan over the whole table: ≤ half full and
+		// contiguous in memory, and deterministic.
 		victim := -1
 		oldest := ^uint64(0)
 		for j, k := range t.keys {
@@ -180,6 +103,19 @@ func (t *TLB) fastAccess(page uint64) bool {
 	t.lastPage, t.lastOK = page, true
 	t.lastIdx, t.lastStamp = idx, t.clock
 	return false
+}
+
+// slotOf returns the home slot of a key (page+1) via a multiplicative hash.
+func (t *TLB) slotOf(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> t.hashShift)
+}
+
+// flushLast writes the deferred MRU stamp back into the table. Must run
+// before anything reads or rearranges stamps/slots.
+func (t *TLB) flushLast() {
+	if t.lastOK {
+		t.stamps[t.lastIdx] = t.lastStamp
+	}
 }
 
 // insert places key at its first free probe slot and returns the slot.

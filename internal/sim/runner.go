@@ -229,7 +229,7 @@ type Runner struct {
 	// Timeline, when set, is the interval recorder attached to the core
 	// (see cpu.Timeline). It samples on committed-instruction boundaries
 	// of the detailed cycle stream only, so its samples are deterministic
-	// across worker counts and the trace/checkpoint/fast-path toggles.
+	// across worker counts, trace replay, and checkpoints.
 	// Attach with AttachTimeline; a nil Timeline costs the core one
 	// pointer check per cycle.
 	Timeline *cpu.Timeline
